@@ -25,7 +25,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/embed"
@@ -135,6 +136,12 @@ type Index struct {
 	// quant, when set by Quantize, routes graph traversal through the
 	// int8 arena with a float64 re-rank of the final beam (quant.go).
 	quant *embed.QuantizedMatrix
+	// scratch pools *scratch sized for this index, so a search reuses
+	// walk memory instead of allocating it (heap.go). It is a separate
+	// allocation because the runtime keeps every used pool reachable
+	// through one more collection; embedded, the pool would keep the
+	// whole index alive with it.
+	scratch *sync.Pool
 }
 
 // idOf resolves an entity name to its node id.
@@ -180,13 +187,14 @@ func Build(e *embed.Embedding, opts Options) (*Index, error) {
 	}
 	start := time.Now()
 	ix := &Index{
-		opts:   opts,
-		dim:    dim,
-		names:  e.Names(),
-		syms:   st,
-		levels: make([]int32, n),
-		links:  make([][][]int32, n),
-		entry:  -1,
+		opts:    opts,
+		dim:     dim,
+		names:   e.Names(),
+		syms:    st,
+		levels:  make([]int32, n),
+		links:   make([][][]int32, n),
+		entry:   -1,
+		scratch: new(sync.Pool),
 	}
 	arena := e.Matrix().Data
 	if opts.Metric == MetricCosine {
@@ -228,14 +236,15 @@ func BuildVectors(names []string, vecs [][]float64, opts Options) (*Index, error
 	}
 	start := time.Now()
 	ix := &Index{
-		opts:   opts,
-		dim:    dim,
-		names:  append([]string(nil), names...),
-		byName: make(map[string]int32, n),
-		vecs:   make([]float64, n*dim),
-		levels: make([]int32, n),
-		links:  make([][][]int32, n),
-		entry:  -1,
+		opts:    opts,
+		dim:     dim,
+		names:   append([]string(nil), names...),
+		byName:  make(map[string]int32, n),
+		vecs:    make([]float64, n*dim),
+		levels:  make([]int32, n),
+		links:   make([][][]int32, n),
+		entry:   -1,
+		scratch: new(sync.Pool),
 	}
 	for i, name := range ix.names {
 		if _, dup := ix.byName[name]; dup {
@@ -261,15 +270,32 @@ func BuildVectors(names []string, vecs [][]float64, opts Options) (*Index, error
 }
 
 // wire draws every node's level up front from one seeded stream (the
-// only randomness in the whole build), then inserts sequentially.
+// only randomness in the whole build), then inserts sequentially, all
+// insertions sharing one scratch.
+//
+// Every adjacency list gets its final capacity before the first
+// insertion, carved from one arena: a list holds at most maxConn ids
+// between insertions and one more until shrink trims it in place, so
+// no list is ever reallocated and the build leaves no dead lists
+// scattered through the heap.
 func (ix *Index) wire(rng *rand.Rand) {
 	mL := 1 / math.Log(float64(ix.opts.M))
+	slots := 0
 	for i := range ix.levels {
 		ix.levels[i] = drawLevel(rng, mL)
-		ix.links[i] = make([][]int32, ix.levels[i]+1)
+		slots += ix.maxConn(0) + 1 + int(ix.levels[i])*(ix.maxConn(1)+1)
 	}
+	arena := make([]int32, slots)
 	for i := range ix.levels {
-		ix.insert(int32(i))
+		ix.links[i] = make([][]int32, ix.levels[i]+1)
+		for lvl := range ix.links[i] {
+			c := ix.maxConn(int32(lvl)) + 1
+			ix.links[i][lvl], arena = arena[:0:c], arena[c:]
+		}
+	}
+	s := newScratch(len(ix.levels), ix.dim)
+	for i := range ix.levels {
+		ix.insert(s, int32(i))
 	}
 }
 
@@ -310,13 +336,64 @@ func (ix *Index) vec(id int32) []float64 {
 
 // dist is the internal ordering key: negated inner product, so smaller
 // is more similar under both metrics (cosine vectors are pre-normalized).
-func (ix *Index) dist(q []float64, id int32) float64 {
-	v := ix.vec(id)
-	var dot float64
+//
+// Every float distance in the package sums s += q[i]*v[i] with i
+// ascending, in this order. dist4 and dist2 keep that order in each
+// lane, so a batched distance is bit-identical to dist; only the
+// integer int8 kernel (distQ) may reassociate its sum. IEEE
+// multiplication commutes, so dist(a, b) == dist(b, a) bit for bit.
+func dist(q, v []float64) float64 {
+	v = v[:len(q)]
+	var s float64
 	for i, x := range q {
-		dot += x * v[i]
+		s += x * v[i]
 	}
-	return -dot
+	return -s
+}
+
+// dist4 is dist against four vectors in one pass over q. Each lane is
+// its own accumulator summing in dist's order, so each result is
+// bit-identical to dist; the lanes overlap only so the CPU can run
+// four dependency chains at once instead of one.
+func dist4(q, a, b, c, d []float64) (float64, float64, float64, float64) {
+	a, b, c, d = a[:len(q)], b[:len(q)], c[:len(q)], d[:len(q)]
+	var sa, sb, sc, sd float64
+	for i, x := range q {
+		sa += x * a[i]
+		sb += x * b[i]
+		sc += x * c[i]
+		sd += x * d[i]
+	}
+	return -sa, -sb, -sc, -sd
+}
+
+// dist2 is the two-lane form of dist4, for batch remainders.
+func dist2(q, a, b []float64) (float64, float64) {
+	a, b = a[:len(q)], b[:len(q)]
+	var sa, sb float64
+	for i, x := range q {
+		sa += x * a[i]
+		sb += x * b[i]
+	}
+	return -sa, -sb
+}
+
+// distances sets out[i] = dist(q, vec(ids[i])) for every i, four lanes
+// at a time, and returns out resized to len(ids).
+func (ix *Index) distances(q []float64, ids []int32, out []float64) []float64 {
+	out = slices.Grow(out[:0], len(ids))[:len(ids)]
+	i := 0
+	for ; i+4 <= len(ids); i += 4 {
+		out[i], out[i+1], out[i+2], out[i+3] = dist4(q, ix.vec(ids[i]), ix.vec(ids[i+1]), ix.vec(ids[i+2]), ix.vec(ids[i+3]))
+	}
+	if i+2 <= len(ids) {
+		out[i], out[i+1] = dist2(q, ix.vec(ids[i]), ix.vec(ids[i+1]))
+		i += 2
+	}
+	if i < len(ids) {
+		out[i] = dist(q, ix.vec(ids[i]))
+	}
+	return out
 }
 
 // cand is a (distance, id) pair; every ordering decision in the index
@@ -334,6 +411,45 @@ func candLess(a, b cand) bool {
 	return a.id < b.id
 }
 
+// candCmp is candLess as a three-way comparison, for slices.SortFunc.
+func candCmp(a, b cand) int {
+	switch {
+	case candLess(a, b):
+		return -1
+	case candLess(b, a):
+		return 1
+	}
+	return 0
+}
+
+// query is what one graph walk measures distances to: the float
+// vector, or its int8 codes when the walk runs on the quantized arena.
+type query struct {
+	f      []float64
+	q8     []int8 // non-nil: traverse on int8 distances
+	qScale float64
+}
+
+// walkDist is dist for a walk, on int8 codes when q carries them.
+func (ix *Index) walkDist(q *query, id int32) float64 {
+	if q.q8 != nil {
+		return ix.distQ(q.q8, q.qScale, id)
+	}
+	return dist(q.f, ix.vec(id))
+}
+
+// walkDists is distances for a walk, on int8 codes when q carries them.
+func (ix *Index) walkDists(q *query, ids []int32, out []float64) []float64 {
+	if q.q8 == nil {
+		return ix.distances(q.f, ids, out)
+	}
+	out = slices.Grow(out[:0], len(ids))[:len(ids)]
+	for i, id := range ids {
+		out[i] = ix.distQ(q.q8, q.qScale, id)
+	}
+	return out
+}
+
 // SearchVector returns the k nearest stored vectors to q, best first.
 // ef <= 0 uses Options.EfSearch; ef is raised to k when smaller.
 func (ix *Index) SearchVector(q []float64, k, ef int) ([]Result, error) {
@@ -349,7 +465,7 @@ func (ix *Index) SearchVector(q []float64, k, ef int) ([]Result, error) {
 		normalize(qn)
 		q = qn
 	}
-	return ix.results(ix.search(q, k, ef)), nil
+	return ix.search(q, k, ef, -1), nil
 }
 
 // SearchName returns the k nearest neighbors of an indexed entity,
@@ -363,64 +479,75 @@ func (ix *Index) SearchName(name string, k, ef int) ([]Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("ann: k must be positive, got %d", k)
 	}
-	// Ask for one extra: the entity is its own nearest neighbor.
-	hits := ix.search(ix.vec(id), k+1, ef)
-	out := make([]Result, 0, k)
+	return ix.search(ix.vec(id), k, ef, id), nil
+}
+
+// results converts hits (best first) to at most k Results, skipping
+// the id exclude.
+func (ix *Index) results(hits []cand, k int, exclude int32) []Result {
+	out := make([]Result, 0, min(k, len(hits)))
 	for _, c := range hits {
-		if c.id == id {
+		if c.id == exclude {
 			continue
 		}
-		out = append(out, Result{ID: int(c.id), Name: ix.names[c.id], Score: -c.dist})
 		if len(out) == k {
 			break
 		}
-	}
-	return out, nil
-}
-
-func (ix *Index) results(hits []cand) []Result {
-	out := make([]Result, len(hits))
-	for i, c := range hits {
-		out[i] = Result{ID: int(c.id), Name: ix.names[c.id], Score: -c.dist}
+		out = append(out, Result{ID: int(c.id), Name: ix.names[c.id], Score: -c.dist})
 	}
 	return out
 }
 
-// search runs the layered HNSW query and returns up to k candidates
-// sorted best-first. q must already be normalized for MetricCosine.
-func (ix *Index) search(q []float64, k, ef int) []cand {
-	if ix.quant != nil {
-		return ix.searchQuant(q, k, ef)
-	}
+// search runs the layered HNSW query and returns the k best hits other
+// than exclude (-1 excludes none). q must already be normalized for
+// MetricCosine. On a quantized index the walk runs on int8 distances
+// and the final beam is re-ranked in float64 (quant.go).
+func (ix *Index) search(q []float64, k, ef int, exclude int32) []Result {
 	start := time.Now()
+	want := k
+	if exclude >= 0 {
+		want++ // the excluded entity is its own nearest neighbor
+	}
 	if ef <= 0 {
 		ef = ix.opts.EfSearch
 	}
-	if ef < k {
-		ef = k
+	if ef < want {
+		ef = want
+	}
+	s := ix.getScratch()
+	defer ix.scratch.Put(s)
+	walk := query{f: q}
+	if ix.quant != nil {
+		walk.q8 = s.q8
+		walk.qScale = embed.QuantizeRow(q, s.q8)
 	}
 	ep := ix.entry
 	for lc := ix.maxLevel; lc > 0; lc-- {
-		ep = ix.greedy(q, ep, lc)
+		ep = ix.greedy(s, &walk, ep, lc)
 	}
-	w := ix.searchLayer(q, ep, ef, 0)
-	if len(w) > k {
-		w = w[:k]
+	w := ix.searchLayer(s, &walk, ep, ef, 0)
+	if ix.quant != nil {
+		ix.rerank(s, q, w)
 	}
+	if len(w) > want {
+		w = w[:want]
+	}
+	out := ix.results(w, k, exclude)
 	queriesTotal.Inc()
 	querySeconds.ObserveDuration(time.Since(start))
-	return w
+	return out
 }
 
 // greedy descends one layer: repeatedly move to the best neighbor
 // until no neighbor improves on the current node.
-func (ix *Index) greedy(q []float64, ep int32, lvl int32) int32 {
-	best := cand{ix.dist(q, ep), ep}
+func (ix *Index) greedy(s *scratch, q *query, ep int32, lvl int32) int32 {
+	best := cand{ix.walkDist(q, ep), ep}
 	for {
+		nbs := ix.linksAt(best.id, lvl)
+		s.dists = ix.walkDists(q, nbs, s.dists)
 		improved := false
-		for _, nb := range ix.linksAt(best.id, lvl) {
-			c := cand{ix.dist(q, nb), nb}
-			if candLess(c, best) {
+		for i, nb := range nbs {
+			if c := (cand{s.dists[i], nb}); candLess(c, best) {
 				best = c
 				improved = true
 			}
@@ -441,37 +568,48 @@ func (ix *Index) linksAt(id, lvl int32) []int32 {
 
 // searchLayer is the HNSW beam search on one layer: expand the closest
 // unexpanded candidate until it cannot improve the current ef-sized
-// result set. Returns candidates sorted best-first.
-func (ix *Index) searchLayer(q []float64, ep int32, ef int, lvl int32) []cand {
-	d0 := cand{ix.dist(q, ep), ep}
-	visited := map[int32]bool{ep: true}
-	candidates := candHeap{min: true}
-	candidates.push(d0)
-	results := candHeap{min: false}
-	results.push(d0)
-	for candidates.len() > 0 {
-		c := candidates.pop()
-		if results.len() >= ef && candLess(results.peek(), c) {
+// result set. Each expansion first collects the node's unvisited
+// neighbors in link order, then measures them in one batch, then makes
+// the heap decisions in that same order: a distance never depends on
+// heap state, so the beam is what one-at-a-time expansion builds.
+// Returns candidates sorted best-first, in s's memory: valid until the
+// next walk on s.
+func (ix *Index) searchLayer(s *scratch, q *query, ep int32, ef int, lvl int32) []cand {
+	s.newWalk()
+	s.visited[ep] = s.stamp
+	d0 := cand{ix.walkDist(q, ep), ep}
+	frontier, beam := &s.frontier, &s.beam
+	frontier.reset()
+	beam.reset()
+	frontier.push(d0)
+	beam.push(d0)
+	for frontier.len() > 0 {
+		c := frontier.pop()
+		if beam.len() >= ef && candLess(beam.peek(), c) {
 			break
 		}
+		ids := s.ids[:0]
 		for _, nb := range ix.linksAt(c.id, lvl) {
-			if visited[nb] {
-				continue
+			if s.visited[nb] != s.stamp {
+				s.visited[nb] = s.stamp
+				ids = append(ids, nb)
 			}
-			visited[nb] = true
-			d := cand{ix.dist(q, nb), nb}
-			if results.len() < ef || candLess(d, results.peek()) {
-				candidates.push(d)
-				results.push(d)
-				if results.len() > ef {
-					results.pop()
+		}
+		s.ids = ids
+		s.dists = ix.walkDists(q, ids, s.dists)
+		for i, nb := range ids {
+			d := cand{s.dists[i], nb}
+			if beam.len() < ef || candLess(d, beam.peek()) {
+				frontier.push(d)
+				beam.push(d)
+				if beam.len() > ef {
+					beam.pop()
 				}
 			}
 		}
 	}
-	out := results.drain()
-	sort.Slice(out, func(i, j int) bool { return candLess(out[i], out[j]) })
-	return out
+	slices.SortFunc(beam.items, candCmp)
+	return beam.items
 }
 
 // maxConn is the stored-degree cap: 2M on the base layer, M above.
@@ -483,30 +621,30 @@ func (ix *Index) maxConn(lvl int32) int {
 }
 
 // insert wires node i into the graph (nodes 0..i-1 already inserted).
-func (ix *Index) insert(i int32) {
+func (ix *Index) insert(s *scratch, i int32) {
 	if ix.entry < 0 {
 		ix.entry = i
 		ix.maxLevel = ix.levels[i]
 		return
 	}
-	q := ix.vec(i)
+	q := query{f: ix.vec(i)}
 	ep := ix.entry
 	for lc := ix.maxLevel; lc > ix.levels[i]; lc-- {
-		ep = ix.greedy(q, ep, lc)
+		ep = ix.greedy(s, &q, ep, lc)
 	}
 	top := ix.levels[i]
 	if top > ix.maxLevel {
 		top = ix.maxLevel
 	}
 	for lc := top; lc >= 0; lc-- {
-		w := ix.searchLayer(q, ep, ix.opts.EfConstruction, lc)
-		nbs := ix.selectNeighbors(q, w, ix.opts.M)
+		w := ix.searchLayer(s, &q, ep, ix.opts.EfConstruction, lc)
+		nbs := ix.selectNeighbors(s, w, ix.opts.M, ix.links[i][lc])
 		ix.links[i][lc] = nbs
 		limit := ix.maxConn(lc)
 		for _, nb := range nbs {
 			ix.links[nb][lc] = append(ix.links[nb][lc], i)
 			if len(ix.links[nb][lc]) > limit {
-				ix.shrink(nb, lc, limit)
+				ix.shrink(s, nb, lc, limit)
 			}
 		}
 		ep = w[0].id
@@ -517,67 +655,78 @@ func (ix *Index) insert(i int32) {
 	}
 }
 
-// selectNeighbors is the HNSW heuristic: walk candidates best-first,
-// keeping one only if it is closer to q than to every neighbor already
-// kept (so the kept set spreads across directions instead of
-// clustering), then fill any remaining slots with the nearest pruned
-// candidates to preserve connectivity.
-func (ix *Index) selectNeighbors(q []float64, cands []cand, m int) []int32 {
+// selectNeighbors is the HNSW heuristic: walk candidates (sorted by
+// distance to the query) best-first, keeping one only if it is closer
+// to the query than to every neighbor already kept (so the kept set
+// spreads across directions instead of clustering), then fill any
+// remaining slots with the nearest pruned candidates to preserve
+// connectivity. The ids are written over dst, which must not alias
+// cands' memory.
+func (ix *Index) selectNeighbors(s *scratch, cands []cand, m int, dst []int32) []int32 {
+	dst = dst[:0]
 	if len(cands) <= m {
-		out := make([]int32, len(cands))
-		for i, c := range cands {
-			out[i] = c.id
+		for _, c := range cands {
+			dst = append(dst, c.id)
 		}
-		return out
+		return dst
 	}
-	selected := make([]cand, 0, m)
+	kept := s.kept[:0]
 	for _, c := range cands {
-		if len(selected) == m {
+		if len(kept) == m {
 			break
 		}
-		keep := true
-		for _, s := range selected {
-			if ix.dist(ix.vec(s.id), c.id) < c.dist {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			selected = append(selected, c)
+		if ix.closerThanKept(c, kept) {
+			kept = append(kept, c.id)
 		}
 	}
 	for _, c := range cands {
-		if len(selected) == m {
+		if len(kept) == m {
 			break
 		}
-		dup := false
-		for _, s := range selected {
-			if s.id == c.id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			selected = append(selected, c)
+		if !slices.Contains(kept, c.id) {
+			kept = append(kept, c.id)
 		}
 	}
-	out := make([]int32, len(selected))
-	for i, c := range selected {
-		out[i] = c.id
+	s.kept = kept
+	return append(dst, kept...)
+}
+
+// closerThanKept reports whether candidate c is closer to the query
+// (c.dist) than to every kept neighbor. The distances to the kept set
+// run four lanes at a time with c as the query side, which dist's
+// symmetry allows; a group may measure up to three neighbors past the
+// one that rejects c, and those distances are discarded.
+func (ix *Index) closerThanKept(c cand, kept []int32) bool {
+	v := ix.vec(c.id)
+	j := 0
+	for ; j+4 <= len(kept); j += 4 {
+		a, b, e, f := dist4(v, ix.vec(kept[j]), ix.vec(kept[j+1]), ix.vec(kept[j+2]), ix.vec(kept[j+3]))
+		if a < c.dist || b < c.dist || e < c.dist || f < c.dist {
+			return false
+		}
 	}
-	return out
+	if j+2 <= len(kept) {
+		a, b := dist2(v, ix.vec(kept[j]), ix.vec(kept[j+1]))
+		if a < c.dist || b < c.dist {
+			return false
+		}
+		j += 2
+	}
+	return j == len(kept) || !(dist(v, ix.vec(kept[j])) < c.dist)
 }
 
 // shrink re-selects node id's neighbor list on lvl down to m entries
-// using the same heuristic insertion uses.
-func (ix *Index) shrink(id, lvl int32, m int) {
-	v := ix.vec(id)
-	cands := make([]cand, 0, len(ix.links[id][lvl]))
-	for _, nb := range ix.links[id][lvl] {
-		cands = append(cands, cand{ix.dist(v, nb), nb})
+// using the same heuristic insertion uses, in place.
+func (ix *Index) shrink(s *scratch, id, lvl int32, m int) {
+	nbs := ix.links[id][lvl]
+	s.dists = ix.distances(ix.vec(id), nbs, s.dists)
+	cands := s.cands[:0]
+	for i, nb := range nbs {
+		cands = append(cands, cand{s.dists[i], nb})
 	}
-	sort.Slice(cands, func(i, j int) bool { return candLess(cands[i], cands[j]) })
-	ix.links[id][lvl] = ix.selectNeighbors(v, cands, m)
+	slices.SortFunc(cands, candCmp)
+	s.cands = cands
+	ix.links[id][lvl] = ix.selectNeighbors(s, cands, m, nbs)
 }
 
 func normalize(v []float64) {

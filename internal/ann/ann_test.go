@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -260,6 +261,85 @@ func TestConcurrentSearchIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestConcurrentMixedSearches hammers indexes that share a process but
+// not their search scratch: a float index serving HNSW and exact-scan
+// queries, a quantized copy serving int8 and exact-scan queries, and a
+// smaller index, all interleaved from many goroutines (run under -race
+// by scripts/check.sh). Every answer must equal the single-threaded
+// reference; scratch that crossed from the small index's pool into a
+// larger one would index past its visited array.
+func TestConcurrentMixedSearches(t *testing.T) {
+	names, vecs := randomVectors(600, 10, 5)
+	float, err := ann.BuildVectors(names, vecs, ann.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quant, err := ann.BuildVectors(names, vecs, ann.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := quant.Quantize(nil); err != nil {
+		t.Fatal(err)
+	}
+	small, err := ann.BuildVectors(names[:150], vecs[:150], ann.Options{Seed: 4, Metric: ann.MetricDot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	var searches []func() ([]ann.Result, error)
+	for i := 0; i < 12; i++ {
+		q := make([]float64, 10)
+		for j := range q {
+			q[j] = rng.NormFloat64()
+		}
+		name := names[rng.Intn(150)]
+		for _, ix := range []*ann.Index{float, quant, small} {
+			searches = append(searches,
+				func() ([]ann.Result, error) { return ix.SearchVector(q, 5, 32) },
+				func() ([]ann.Result, error) { return ix.SearchName(name, 5, 0) },
+				func() ([]ann.Result, error) { return ix.BruteForceVector(q, 5) },
+				func() ([]ann.Result, error) { return ix.BruteForceName(name, 5) },
+			)
+		}
+	}
+	want := make([][]ann.Result, len(searches))
+	for i, search := range searches {
+		if want[i], err = search(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				// Each goroutine walks the searches from its own offset,
+				// so different kinds of query overlap in time.
+				for j := range searches {
+					i := (j + g*len(searches)/goroutines) % len(searches)
+					got, err := searches[i]()
+					if err != nil {
+						errc <- err
+						return
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						errc <- fmt.Errorf("search %d: got %+v, want %+v", i, got, want[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+}
+
 func TestSearchNameSemantics(t *testing.T) {
 	names, vecs := randomVectors(100, 6, 2)
 	ix, err := ann.BuildVectors(names, vecs, ann.Options{Seed: 2})
@@ -334,4 +414,30 @@ func TestDotMetricOrdersByInnerProduct(t *testing.T) {
 	if res[1].Name != "short" || res[1].Score != 1 {
 		t.Fatalf("dot metric second hit = %+v, want short/1", res[1])
 	}
+}
+
+// BenchmarkANNBuild times a default-options build over the benchmark
+// embedding and over an 8k x 100 clustered collection, the scale of
+// the Genes embedding behind the serving benchmark's neighbors index.
+func BenchmarkANNBuild(b *testing.B) {
+	b.Run("embedding", func(b *testing.B) {
+		e := benchmarkEmbedding(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ann.Build(e, ann.Options{Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("collection-8k-x100", func(b *testing.B) {
+		names, vecs := ann.RandomCollection(8192, 100, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ann.BuildVectors(names, vecs, ann.Options{Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

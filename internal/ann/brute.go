@@ -2,7 +2,7 @@ package ann
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BruteForceVector returns the exact k nearest stored vectors to q by
@@ -24,7 +24,7 @@ func (ix *Index) BruteForceVector(q []float64, k int) ([]Result, error) {
 		normalize(qn)
 		q = qn
 	}
-	return ix.results(ix.scan(q, k, -1)), nil
+	return ix.results(ix.scan(q, k, -1), k, -1), nil
 }
 
 // BruteForceName returns the exact k nearest neighbors of an indexed
@@ -39,23 +39,33 @@ func (ix *Index) BruteForceName(name string, k int) ([]Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("ann: k must be positive, got %d", k)
 	}
-	return ix.results(ix.scan(ix.vec(id), k, id)), nil
+	return ix.results(ix.scan(ix.vec(id), k, id), k, -1), nil
 }
 
 // scan computes the exact top-k candidates for q over every stored
 // vector, skipping exclude (pass -1 to keep all). q must already be
-// normalized for MetricCosine.
+// normalized for MetricCosine. The k best so far sit in a bounded
+// max-heap ordered by candLess, so the scan costs O(n log k) and
+// returns exactly the first k of a full sort, ties included.
 func (ix *Index) scan(q []float64, k int, exclude int32) []cand {
-	cands := make([]cand, 0, ix.Len())
-	for id := int32(0); int(id) < ix.Len(); id++ {
-		if id == exclude {
-			continue
+	n := ix.Len()
+	top := candHeap{items: make([]cand, 0, min(k, n))}
+	offer := func(d float64, id int) {
+		if int32(id) != exclude {
+			top.offer(cand{d, int32(id)}, k)
 		}
-		cands = append(cands, cand{ix.dist(q, id), id})
 	}
-	sort.Slice(cands, func(i, j int) bool { return candLess(cands[i], cands[j]) })
-	if len(cands) > k {
-		cands = cands[:k]
+	id := 0
+	for ; id+4 <= n; id += 4 {
+		a, b, c, d := dist4(q, ix.vec(int32(id)), ix.vec(int32(id+1)), ix.vec(int32(id+2)), ix.vec(int32(id+3)))
+		offer(a, id)
+		offer(b, id+1)
+		offer(c, id+2)
+		offer(d, id+3)
 	}
-	return cands
+	for ; id < n; id++ {
+		offer(dist(q, ix.vec(int32(id))), id)
+	}
+	slices.SortFunc(top.items, candCmp)
+	return top.items
 }

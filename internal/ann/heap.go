@@ -20,6 +20,9 @@ func (h *candHeap) before(i, j int) bool {
 
 func (h *candHeap) len() int { return len(h.items) }
 
+// reset empties the heap, keeping its memory.
+func (h *candHeap) reset() { h.items = h.items[:0] }
+
 // peek returns the top without removing it (closest for min, farthest
 // for max). Callers check len() first.
 func (h *candHeap) peek() cand { return h.items[0] }
@@ -42,28 +45,87 @@ func (h *candHeap) pop() cand {
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]
 	h.items = h.items[:last]
-	i := 0
+	h.down(0)
+	return top
+}
+
+// down sifts items[i] toward the leaves until the heap order holds.
+func (h *candHeap) down(i int) {
+	n := len(h.items)
 	for {
 		l, r := 2*i+1, 2*i+2
 		best := i
-		if l < last && h.before(l, best) {
+		if l < n && h.before(l, best) {
 			best = l
 		}
-		if r < last && h.before(r, best) {
+		if r < n && h.before(r, best) {
 			best = r
 		}
 		if best == i {
-			break
+			return
 		}
 		h.items[i], h.items[best] = h.items[best], h.items[i]
 		i = best
 	}
-	return top
 }
 
-// drain empties the heap, returning the items in arbitrary order.
-func (h *candHeap) drain() []cand {
-	out := h.items
-	h.items = nil
-	return out
+// offer keeps c if it is among the k best offered so far. The heap must
+// be a max-heap (min=false): its top is the worst kept entry, which c
+// replaces when it is better and the heap already holds k.
+func (h *candHeap) offer(c cand, k int) {
+	if len(h.items) < k {
+		h.push(c)
+		return
+	}
+	if candLess(c, h.items[0]) {
+		h.items[0] = c
+		h.down(0)
+	}
+}
+
+// scratch is the working memory of graph walks over one index: the
+// visited stamps, both heaps and the batch buffers. Build threads one
+// scratch through every insertion; searches borrow one from the
+// index's pool, so concurrent searches never share one and a search
+// allocates nothing proportional to n.
+type scratch struct {
+	// visited[id] == stamp marks id as seen by the current walk. Each
+	// walk bumps stamp instead of clearing the array; the array is
+	// cleared only when stamp wraps (hnswlib's VisitedListPool).
+	visited []uint32
+	stamp   uint32
+
+	frontier, beam candHeap
+	ids            []int32   // one expansion's unvisited neighbors
+	dists          []float64 // their distances
+	cands          []cand    // shrink's re-ranked neighbor list
+	kept           []int32   // selectNeighbors' kept set
+	q8             []int8    // the int8 codes of a quantized query
+}
+
+func newScratch(n, dim int) *scratch {
+	return &scratch{
+		visited:  make([]uint32, n),
+		frontier: candHeap{min: true},
+		q8:       make([]int8, dim),
+	}
+}
+
+// newWalk starts a walk: no node is marked visited.
+func (s *scratch) newWalk() {
+	s.stamp++
+	if s.stamp == 0 {
+		clear(s.visited)
+		s.stamp = 1
+	}
+}
+
+// getScratch borrows search scratch from the index's pool; return it
+// with ix.scratch.Put. The pool belongs to the index, so scratch sized
+// for one index never serves another.
+func (ix *Index) getScratch() *scratch {
+	if s, ok := ix.scratch.Get().(*scratch); ok {
+		return s
+	}
+	return newScratch(ix.Len(), ix.dim)
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/durable"
 )
@@ -224,6 +225,7 @@ func Decode(data []byte) (*Index, error) {
 		links:    make([][][]int32, n),
 		entry:    entry,
 		maxLevel: maxLevel,
+		scratch:  new(sync.Pool),
 	}
 	for i := range ix.names {
 		l := d.u32()

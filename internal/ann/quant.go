@@ -2,17 +2,16 @@ package ann
 
 import (
 	"fmt"
-	"sort"
-	"time"
+	"slices"
 	"unsafe"
 
 	"repro/internal/embed"
 )
 
 // int8 search path. Quantize attaches a symmetric int8 arena (see
-// embed.QuantizedMatrix) to a built or loaded index; graph traversal
-// then runs on int8 dot products with int32 accumulation — 8x less
-// memory traffic per distance — and the final beam is re-ranked
+// embed.QuantizedMatrix) to a built or loaded index; search's graph
+// walk then runs on int8 dot products with int32 accumulation — 8x
+// less memory traffic per distance — and the final beam is re-ranked
 // exactly in float64 before truncation to k, which is what keeps
 // recall@10 >= 0.95 against brute force (asserted in quant_test.go).
 // The float vectors are retained for the re-rank; under an mmap'd
@@ -85,100 +84,43 @@ func (ix *Index) SharesStorage(e *embed.Embedding) bool {
 }
 
 // distQ is dist over the int8 arena: negated reconstructed inner
-// product. The int32 accumulator is exact (no rounding, no overflow
-// for dim <= maxQuantDim), so quantized traversal is as deterministic
-// as the float path.
+// product. Integer addition is exact and associative (int32 wraps
+// modulo 2^32, and dim <= maxQuantDim rules out overflow anyway), so
+// the four independent accumulators give the same sum as one, and
+// quantized traversal is as deterministic as the float path.
 func (ix *Index) distQ(q8 []int8, qScale float64, id int32) float64 {
 	row := ix.quant.Row(int(id))
-	var acc int32
-	for i, b := range q8 {
-		acc += int32(b) * int32(row[i])
+	row = row[:len(q8)]
+	var a0, a1, a2, a3 int32
+	i := 0
+	for ; i+4 <= len(q8); i += 4 {
+		a0 += int32(q8[i]) * int32(row[i])
+		a1 += int32(q8[i+1]) * int32(row[i+1])
+		a2 += int32(q8[i+2]) * int32(row[i+2])
+		a3 += int32(q8[i+3]) * int32(row[i+3])
 	}
-	return -(qScale * ix.quant.Scales[id] * float64(acc))
+	for ; i < len(q8); i++ {
+		a0 += int32(q8[i]) * int32(row[i])
+	}
+	return -(qScale * ix.quant.Scales[id] * float64(a0+a1+a2+a3))
 }
 
-// searchQuant is the int8 twin of search: quantize the query once,
-// traverse on int8 distances, then re-rank the whole final beam (up
-// to ef candidates) in float64 and truncate to k. Re-ranking the full
-// beam rather than a fixed top-C costs one float pass over at most ef
-// vectors and removes the ordering error quantization introduces
-// among the survivors.
-func (ix *Index) searchQuant(q []float64, k, ef int) []cand {
-	start := time.Now()
-	if ef <= 0 {
-		ef = ix.opts.EfSearch
+// rerank replaces the int8 distances of a quantized walk's final beam w
+// with exact float64 ones to q and re-sorts it. Re-ranking the whole
+// beam (up to ef candidates) rather than a fixed top-C costs one float
+// pass over at most ef vectors and removes the ordering error
+// quantization introduces among the survivors.
+func (ix *Index) rerank(s *scratch, q []float64, w []cand) {
+	ids := s.ids[:0]
+	for _, c := range w {
+		ids = append(ids, c.id)
 	}
-	if ef < k {
-		ef = k
-	}
-	q8 := make([]int8, len(q))
-	qScale := embed.QuantizeRow(q, q8)
-	ep := ix.entry
-	for lc := ix.maxLevel; lc > 0; lc-- {
-		ep = ix.greedyQ(q8, qScale, ep, lc)
-	}
-	w := ix.searchLayerQ(q8, qScale, ep, ef, 0)
-	quantRerankedTotal.Add(float64(len(w)))
+	s.ids = ids
+	s.dists = ix.distances(q, ids, s.dists)
 	for i := range w {
-		w[i].dist = ix.dist(q, w[i].id)
+		w[i].dist = s.dists[i]
 	}
-	sort.Slice(w, func(i, j int) bool { return candLess(w[i], w[j]) })
-	if len(w) > k {
-		w = w[:k]
-	}
-	queriesTotal.Inc()
+	slices.SortFunc(w, candCmp)
+	quantRerankedTotal.Add(float64(len(w)))
 	quantQueriesTotal.Inc()
-	querySeconds.ObserveDuration(time.Since(start))
-	return w
-}
-
-// greedyQ is greedy on int8 distances.
-func (ix *Index) greedyQ(q8 []int8, qScale float64, ep int32, lvl int32) int32 {
-	best := cand{ix.distQ(q8, qScale, ep), ep}
-	for {
-		improved := false
-		for _, nb := range ix.linksAt(best.id, lvl) {
-			c := cand{ix.distQ(q8, qScale, nb), nb}
-			if candLess(c, best) {
-				best = c
-				improved = true
-			}
-		}
-		if !improved {
-			return best.id
-		}
-	}
-}
-
-// searchLayerQ is searchLayer on int8 distances.
-func (ix *Index) searchLayerQ(q8 []int8, qScale float64, ep int32, ef int, lvl int32) []cand {
-	d0 := cand{ix.distQ(q8, qScale, ep), ep}
-	visited := map[int32]bool{ep: true}
-	candidates := candHeap{min: true}
-	candidates.push(d0)
-	results := candHeap{min: false}
-	results.push(d0)
-	for candidates.len() > 0 {
-		c := candidates.pop()
-		if results.len() >= ef && candLess(results.peek(), c) {
-			break
-		}
-		for _, nb := range ix.linksAt(c.id, lvl) {
-			if visited[nb] {
-				continue
-			}
-			visited[nb] = true
-			d := cand{ix.distQ(q8, qScale, nb), nb}
-			if results.len() < ef || candLess(d, results.peek()) {
-				candidates.push(d)
-				results.push(d)
-				if results.len() > ef {
-					results.pop()
-				}
-			}
-		}
-	}
-	out := results.drain()
-	sort.Slice(out, func(i, j int) bool { return candLess(out[i], out[j]) })
-	return out
 }

@@ -402,8 +402,9 @@ func TestReloadRejectsBadIndex(t *testing.T) {
 }
 
 // BenchmarkANNSearch compares one /v1/neighbors-path search through the
-// HNSW index against the exact brute-force scan it replaces, on the
-// serving fixture's embedding.
+// HNSW index, float and int8, against the exact scan the server falls
+// back to when the ANN breaker is open, on the serving fixture's
+// embedding.
 func BenchmarkANNSearch(b *testing.B) {
 	_, loaded, _ := fixture(b)
 	ix, err := ann.Build(loaded.Embedding, ann.Options{Seed: 7})
@@ -440,27 +441,11 @@ func BenchmarkANNSearch(b *testing.B) {
 	})
 
 	b.Run("brute-force", func(b *testing.B) {
-		names := ix.Names()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			type scored struct {
-				name  string
-				score float64
+			if _, err := ix.BruteForceVector(query, 10); err != nil {
+				b.Fatal(err)
 			}
-			best := make([]scored, 0, len(names))
-			for _, n := range names {
-				v, _ := loaded.Embedding.Vector(n)
-				dot, qq, vv := 0.0, 0.0, 0.0
-				for d := range v {
-					dot += query[d] * v[d]
-					qq += query[d] * query[d]
-					vv += v[d] * v[d]
-				}
-				if qq > 0 && vv > 0 {
-					best = append(best, scored{n, dot})
-				}
-			}
-			_ = best
 		}
 	})
 

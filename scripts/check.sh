@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test -race ./...
+# Benchmark bodies compile under `go test` but never run there; one
+# iteration of each ANN benchmark keeps them from breaking silently.
+go test -run xxx -bench 'ANN' -benchtime 1x ./internal/ann ./internal/serve
 
 # --- levad smoke test -------------------------------------------------
 # Exercises the real binaries, not the in-process test harness: a
